@@ -15,6 +15,7 @@ fn write_warehouse() -> tempfile_lite::TempPath {
 /// A tiny self-contained temp-file helper (std-only; avoids a dependency).
 mod tempfile_lite {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     pub struct TempPath(pub PathBuf);
 
@@ -24,9 +25,13 @@ mod tempfile_lite {
         }
     }
 
+    /// Tests run in parallel threads of one process, so the pid alone does
+    /// not make a path unique: each call also takes a fresh sequence number.
     pub fn write(name: &str, contents: &[u8]) -> TempPath {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
         let mut p = std::env::temp_dir();
-        p.push(format!("{}-{}", std::process::id(), name));
+        p.push(format!("{}-{seq}-{name}", std::process::id()));
         std::fs::write(&p, contents).expect("temp write");
         TempPath(p)
     }

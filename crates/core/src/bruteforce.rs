@@ -8,11 +8,12 @@
 //!
 //! Exponential — intended for tests and small documents only.
 
+use std::collections::HashMap;
+
 use xfd_partition::AttrSet;
 use xfd_relation::{Forest, RelId};
 
 use crate::interesting::{inter_fd_to_xfd, inter_key_to_key};
-use crate::redundancy::lhs_grouping;
 use crate::xfd::{RawInterFd, RawInterKey};
 
 /// Options for the oracle.
@@ -139,9 +140,40 @@ fn is_key(forest: &Forest, origin: RelId, lhs: &[Attr]) -> bool {
     if lhs.is_empty() {
         return forest.relation(origin).n_tuples() <= 1;
     }
-    // Reuse the redundancy grouping: a key has no group of size ≥ 2.
     let levels = to_levels(origin, lhs, forest);
-    lhs_grouping(forest, origin, &levels).0 == 0
+    reference_groups(forest, origin, &levels)
+        .iter()
+        .all(|g| g.len() < 2)
+}
+
+/// The oracle's own LHS grouping, kept independent of the redundancy
+/// kernel it checks: one key per tuple, the `(tag, value)` pairs of its
+/// joined LHS cells with ⊥ keyed by its ancestor tuple ([`agree`]'s
+/// semantics). Groups hold ascending tuple indices and are ordered by
+/// first member; singletons included.
+pub fn reference_groups(
+    forest: &Forest,
+    origin: RelId,
+    levels: &[(RelId, AttrSet)],
+) -> Vec<Vec<u32>> {
+    let mut keys: Vec<Vec<u64>> = vec![Vec::new(); forest.relation(origin).n_tuples()];
+    for &(lrel, attrs) in levels {
+        for a in attrs.iter() {
+            for (t, key) in keys.iter_mut().enumerate() {
+                key.extend(match joined(forest, origin, (lrel, a), t) {
+                    (_, Some(v)) => [0, v],
+                    (anc, None) => [1, u64::from(anc)],
+                });
+            }
+        }
+    }
+    let mut groups: HashMap<Vec<u64>, Vec<u32>> = HashMap::new();
+    for (t, key) in keys.into_iter().enumerate() {
+        groups.entry(key).or_default().push(t as u32);
+    }
+    let mut out: Vec<Vec<u32>> = groups.into_values().collect();
+    out.sort_by_key(|g| g[0]);
+    out
 }
 
 /// Convert a flat attr list into per-relation levels ordered origin-first.

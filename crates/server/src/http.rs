@@ -469,21 +469,26 @@ impl Response {
         self
     }
 
-    /// Serialize onto the wire.
+    /// Serialize onto the wire with one `write_all`. Head and body leave
+    /// together: a head sent as its own small segment would hold the body
+    /// back behind Nagle until the peer's delayed ACK, stalling every
+    /// keep-alive response by tens of milliseconds.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut wire = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            wire,
             "HTTP/1.1 {} {}\r\n",
             self.status,
             reason_phrase(self.status)
         )?;
         for (k, v) in &self.headers {
-            write!(w, "{k}: {v}\r\n")?;
+            write!(wire, "{k}: {v}\r\n")?;
         }
-        write!(w, "Content-Length: {}\r\n", self.body.len())?;
+        write!(wire, "Content-Length: {}\r\n", self.body.len())?;
         let connection = if self.close { "close" } else { "keep-alive" };
-        write!(w, "Connection: {connection}\r\n\r\n")?;
-        w.write_all(&self.body)?;
+        write!(wire, "Connection: {connection}\r\n\r\n")?;
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -770,6 +775,36 @@ mod tests {
             .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: close\r\n"), "{text}");
+    }
+
+    #[test]
+    fn a_response_goes_out_in_one_write() {
+        /// Accepts every byte and counts the `write` calls.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        for response in [
+            Response::json(200, "{}").with_header("X-Cache", "hit"),
+            Response::text(200, "x".repeat(1 << 20)).with_close(),
+            Response::error(503, "busy").with_header("Retry-After", "1"),
+        ] {
+            let mut counting = Counting::default();
+            response.write_to(&mut counting).unwrap();
+            assert_eq!(counting.writes, 1, "{} response", response.status);
+            assert!(counting.bytes.ends_with(&response.body));
+        }
     }
 
     #[test]

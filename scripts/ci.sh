@@ -292,4 +292,10 @@ grep -q '"workers_lost": 0' "$BENCH_CLUSTER_OUT" \
   || { echo "expected zero lost workers in $BENCH_CLUSTER_OUT"; exit 1; }
 echo "   cluster bench parity held, zero workers lost"
 
+echo "== end-to-end benchmark tests"
+# The e2ebench package is a workspace of its own. Its smoke run checks
+# every workload's report digest (redundancies included) against
+# e2ebench/reference.txt, so a change to any analysis output fails here.
+cargo test --release --manifest-path e2ebench/Cargo.toml
+
 echo "CI OK"

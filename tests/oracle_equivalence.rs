@@ -1,15 +1,18 @@
 //! Property-based validation: on randomly generated small documents, the
 //! partition-based discovery must agree with the brute-force
-//! definition-level oracle (Definition 7 checked pair-by-pair).
+//! definition-level oracle (Definition 7 checked pair-by-pair), and the
+//! redundancy grouping kernel with the oracle's own reference grouping.
 
-use discoverxfd::bruteforce::{brute_force, BruteOptions};
+use discoverxfd::bruteforce::{brute_force, reference_groups, BruteOptions};
 use discoverxfd::interesting::{
     inter_fd_to_xfd, inter_key_to_key, intra_fd_to_xfd, intra_key_to_key,
 };
+use discoverxfd::redundancy::lhs_group_members;
 use discoverxfd::xfd::discover_forest;
 use discoverxfd::DiscoveryConfig;
 use proptest::prelude::*;
-use xfd_relation::{encode, EncodeConfig, Forest};
+use xfd_partition::AttrSet;
+use xfd_relation::{encode, EncodeConfig, Forest, RelId};
 use xfd_schema::infer_schema;
 use xfd_xml::builder::TreeWriter;
 use xfd_xml::DataTree;
@@ -33,8 +36,8 @@ struct Book {
     authors: Vec<u8>,
 }
 
-fn doc_strategy() -> impl Strategy<Value = Doc> {
-    let book = (
+fn book_strategy() -> impl Strategy<Value = Book> {
+    (
         proptest::option::of(0u8..3),
         proptest::option::of(0u8..3),
         proptest::collection::vec(0u8..3, 0..3),
@@ -43,10 +46,90 @@ fn doc_strategy() -> impl Strategy<Value = Doc> {
             isbn,
             title,
             authors,
-        });
-    let store = (0u8..2, proptest::collection::vec(book, 0..4))
+        })
+}
+
+fn doc_strategy() -> impl Strategy<Value = Doc> {
+    let store = (0u8..2, proptest::collection::vec(book_strategy(), 0..4))
         .prop_map(|(name, books)| Store { name, books });
     proptest::collection::vec(store, 1..4).prop_map(|stores| Doc { stores })
+}
+
+/// States → stores → books in which the state and store names may be
+/// missing too, so LHS cells can be ⊥ at every level.
+type Nested = Vec<(Option<u8>, Vec<(Option<u8>, Vec<Book>)>)>;
+
+fn nested_strategy() -> impl Strategy<Value = Nested> {
+    use proptest::collection::vec;
+    use proptest::option::of;
+    let store = (of(0u8..2), vec(book_strategy(), 0..4));
+    vec((of(0u8..2), vec(store, 1..3)), 1..3)
+}
+
+fn emit_book(w: &mut TreeWriter, b: &Book) {
+    w.open("book");
+    if let Some(i) = b.isbn {
+        w.leaf("isbn", &format!("i{i}"));
+    }
+    if let Some(t) = b.title {
+        w.leaf("title", &format!("t{t}"));
+    }
+    for a in &b.authors {
+        w.leaf("author", &format!("a{a}"));
+    }
+    w.close();
+}
+
+fn build_nested(doc: &Nested) -> DataTree {
+    let mut w = TreeWriter::new("w");
+    for (sn, stores) in doc {
+        w.open("state");
+        if let Some(sn) = sn {
+            w.leaf("sn", &format!("s{sn}"));
+        }
+        for (name, books) in stores {
+            w.open("store");
+            if let Some(n) = name {
+                w.leaf("name", &format!("n{n}"));
+            }
+            for b in books {
+                emit_book(&mut w, b);
+            }
+            w.close();
+        }
+        w.close();
+    }
+    w.finish()
+}
+
+/// Every LHS of at most three columns drawn from `origin` and its
+/// ancestors, one level per relation, origin first.
+fn lhss(forest: &Forest, origin: RelId) -> Vec<Vec<(RelId, AttrSet)>> {
+    let mut chain = vec![origin];
+    while let Some(p) = chain.last().and_then(|&r| forest.relation(r).parent) {
+        chain.push(p);
+    }
+    let attrs: Vec<(RelId, usize)> = chain
+        .iter()
+        .flat_map(|&r| (0..forest.relation(r).n_columns()).map(move |c| (r, c)))
+        .collect();
+    (0u32..1 << attrs.len())
+        .filter(|mask| mask.count_ones() <= 3)
+        .map(|mask| {
+            chain
+                .iter()
+                .map(|&r| {
+                    let cols = attrs
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, &(ar, _))| ar == r && mask & 1 << i != 0)
+                        .map(|(_, &(_, c))| c);
+                    (r, AttrSet::from_iter(cols))
+                })
+                .filter(|(_, set)| !set.is_empty())
+                .collect()
+        })
+        .collect()
 }
 
 fn build(doc: &Doc) -> DataTree {
@@ -55,17 +138,7 @@ fn build(doc: &Doc) -> DataTree {
         w.open("store");
         w.leaf("name", &format!("n{}", s.name));
         for b in &s.books {
-            w.open("book");
-            if let Some(i) = b.isbn {
-                w.leaf("isbn", &format!("i{i}"));
-            }
-            if let Some(t) = b.title {
-                w.leaf("title", &format!("t{t}"));
-            }
-            for a in &b.authors {
-                w.leaf("author", &format!("a{a}"));
-            }
-            w.close();
+            emit_book(&mut w, b);
         }
         w.close();
     }
@@ -121,17 +194,7 @@ fn build3(doc: &[(u8, Doc)]) -> DataTree {
             w.open("store");
             w.leaf("name", &format!("n{}", s.name));
             for b in &s.books {
-                w.open("book");
-                if let Some(i) = b.isbn {
-                    w.leaf("isbn", &format!("i{i}"));
-                }
-                if let Some(t) = b.title {
-                    w.leaf("title", &format!("t{t}"));
-                }
-                for a in &b.authors {
-                    w.leaf("author", &format!("a{a}"));
-                }
-                w.close();
+                emit_book(&mut w, b);
             }
             w.close();
         }
@@ -181,6 +244,23 @@ proptest! {
         let (fds, _) = discovery_strings(&forest, opts.max_lhs);
         let ofds = oracle.fd_strings(&forest);
         prop_assert_eq!(&fds, &ofds, "FDs diverge on {:?}", doc);
+    }
+
+    #[test]
+    fn group_kernel_matches_reference_grouping(doc in nested_strategy()) {
+        let tree = build_nested(&doc);
+        let schema = infer_schema(&tree);
+        let forest = encode(&tree, &schema, &EncodeConfig::default());
+        for rel in forest.relations.iter().filter(|r| r.parent.is_some()) {
+            for levels in lhss(&forest, rel.id) {
+                // Same groups, same member order, same group order.
+                prop_assert_eq!(
+                    lhs_group_members(&forest, rel.id, &levels),
+                    reference_groups(&forest, rel.id, &levels),
+                    "grouping by {:?} of {} on {:?}", levels, rel.name, doc
+                );
+            }
+        }
     }
 
     #[test]
